@@ -116,14 +116,15 @@ class DataflowProblem:
 def bit_indices(bits: int) -> list[int]:
     """Indices of set bits, ascending.
 
+    Visits set bits only (lowest first), so the cost follows the number
+    of set bits rather than the width of the vector.
+
     >>> bit_indices(0b1011)
     [0, 1, 3]
     """
     indices = []
-    index = 0
     while bits:
-        if bits & 1:
-            indices.append(index)
-        bits >>= 1
-        index += 1
+        low = bits & -bits
+        indices.append(low.bit_length() - 1)
+        bits ^= low
     return indices

@@ -110,3 +110,12 @@ class ReachingDefinitions:
 
     def defs_of_reg_bits(self, reg: VReg) -> int:
         return self._defs_of_reg.get(reg.name, 0)
+
+    def forget(self, definition: Definition) -> None:
+        """Drop the definition of an instruction deleted from the IR.
+
+        Its index stays taken in :attr:`definitions`, and the solved
+        block facts are left as they were.
+        """
+        del self.def_of_instr[definition.instr.uid]
+        self._defs_of_reg[definition.reg.name] &= ~(1 << definition.index)

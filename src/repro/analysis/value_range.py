@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..ir.instruction import Instr
+from ..ir.instruction import Instr, VReg
 from ..ir.opcodes import Opcode
 from ..ir.types import INT32_MAX, INT32_MIN, sign_extend
 from ..machine.model import MachineTraits
@@ -249,7 +249,7 @@ class ValueRanges:
         if step == 0 or abs(step) > (1 << 20):
             return None
 
-        init = self._non_step_range(dest.name, instr)
+        init = self._non_step_range(dest, instr)
         if init is None or init.is_top:
             return None
 
@@ -260,7 +260,7 @@ class ValueRanges:
             return _clamped(init.lo + step, max(init.hi, bound) + step)
         return _clamped(min(init.lo, bound) + step, init.hi + step)
 
-    def _non_step_range(self, reg_name: str, step_instr: Instr) -> Interval | None:
+    def _non_step_range(self, reg: VReg, step_instr: Instr) -> Interval | None:
         """Union of the ranges of every other definition of the register.
 
         Any definition whose range depends on the step (a mutual cycle)
@@ -269,12 +269,10 @@ class ValueRanges:
         """
         result: Interval | None = None
         found = False
-        for definition in self.chains.definitions:
-            if definition.reg.name != reg_name:
-                continue
+        for definition in self.chains.definitions_of(reg):
             if definition.instr is step_instr:
                 continue
-            if self._is_value_preserving_self_def(definition.instr, reg_name):
+            if self._is_value_preserving_self_def(definition.instr, reg.name):
                 # ``k = extend32 k`` / ``k = just_extended k``: the
                 # 32-bit semantic value is unchanged, so the definition
                 # contributes nothing beyond the defs it forwards.

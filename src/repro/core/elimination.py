@@ -1,7 +1,9 @@
 """Phase 3 driver: insertion, order determination, elimination.
 
 Chains are built once (the paper's "UD/DU chain creation" budget line)
-and spliced incrementally as extensions are removed.
+and spliced incrementally as extensions are removed.  When insertion
+leaves the IR as the general optimizer left it, phase 3 takes the
+optimizer's cached chains instead of building them again.
 
 With ``telemetry`` attached, each sub-phase ((3)-1 insertion, (3)-2
 order determination, chain construction, (3)-3 elimination) becomes a
@@ -12,13 +14,12 @@ candidate produces one decision record (see
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..analysis.frequency import BranchProfile
-from ..analysis.ud_du import Chains
+from ..analysis.ud_du import take_chains
 from ..ir.function import Function
-from ..opt.pass_manager import BUCKET_CHAINS, BUCKET_SIGN_EXT, Timing
+from ..opt.pass_manager import BUCKET_CHAINS, BUCKET_SIGN_EXT, Timing, charged
 from ..telemetry import Telemetry
 from .analyze import Eliminator
 from .config import SignExtConfig
@@ -79,32 +80,30 @@ def _run_phase3(
             return contextlib.nullcontext()
         return telemetry.span(name, category="sign-ext")
 
-    start = time.perf_counter()
-    with span("insertion"):
-        stats.dummies = insert_dummy_markers(func)
-        if config.insert:
-            if config.insert_pde:
-                stats.inserted = run_pde_insertion(func, config.traits)
-            else:
-                stats.inserted = insert_before_requiring_uses(
-                    func, config.traits
-                )
-    with span("ordering"):
-        candidates = order_candidates(
-            func,
-            use_order=config.order,
-            profile=profile if config.use_profile else None,
-        )
+    with charged(timing, BUCKET_SIGN_EXT, func):
+        with span("insertion"):
+            stats.dummies = insert_dummy_markers(func)
+            if config.insert:
+                if config.insert_pde:
+                    stats.inserted = run_pde_insertion(func, config.traits)
+                else:
+                    stats.inserted = insert_before_requiring_uses(
+                        func, config.traits
+                    )
+        with span("ordering"):
+            candidates = order_candidates(
+                func,
+                use_order=config.order,
+                profile=profile if config.use_profile else None,
+            )
     stats.candidates = len(candidates)
-    timing.add(BUCKET_SIGN_EXT, time.perf_counter() - start)
 
-    start = time.perf_counter()
-    with span("chains"):
-        chains = Chains(func)
-    timing.add(BUCKET_CHAINS, time.perf_counter() - start)
+    with charged(timing, BUCKET_CHAINS, func), span("chains"):
+        # Insertion invalidated the cache if it edited anything; the
+        # eliminator splices these chains, so they leave the cache.
+        chains = take_chains(func)
 
-    start = time.perf_counter()
-    with span("elimination"):
+    with charged(timing, BUCKET_SIGN_EXT, func), span("elimination"):
         eliminator = Eliminator(func, chains, config, telemetry=telemetry)
         from ..ir.opcodes import EXTEND_BITS
 
@@ -113,7 +112,6 @@ def _run_phase3(
                 stats.eliminated += 1
                 stats.eliminated_by_width[EXTEND_BITS[ext.opcode]] += 1
         remove_dummy_markers(func)
-    timing.add(BUCKET_SIGN_EXT, time.perf_counter() - start)
     return stats
 
 

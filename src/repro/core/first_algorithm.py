@@ -21,6 +21,7 @@ rather than with gen/kill summaries.
 from __future__ import annotations
 
 from ..analysis.cfg import postorder
+from ..analysis.ud_du import chains_for
 from ..ir.function import Function
 from ..ir.instruction import Instr
 from ..ir.opcodes import Opcode
@@ -108,11 +109,10 @@ def _find_masking_and_uses(func: Function) -> set[tuple[int, int]]:
     is a non-negative 32-bit constant: the mask discards the operand's
     upper bits, so the use never demands a canonical value (the paper's
     Figure 3, statement (6))."""
-    from ..analysis.ud_du import Chains
     from ..ir.types import INT32_MAX
 
     masked: set[tuple[int, int]] = set()
-    chains = Chains(func)
+    chains = chains_for(func)
     for _, instr in func.instructions():
         if instr.opcode is not Opcode.AND32:
             continue

@@ -19,7 +19,7 @@ Two kinds of insertions:
 from __future__ import annotations
 
 from ..analysis.dominators import DominatorTree
-from ..analysis.ud_du import Chains
+from ..analysis.ud_du import Chains, chains_for
 from ..ir.function import Function
 from ..ir.instruction import Instr
 from ..ir.opcodes import Opcode, Role
@@ -42,7 +42,7 @@ def insert_before_requiring_uses(func: Function, traits: MachineTraits) -> int:
     """The simple insertion algorithm; returns insertions made."""
     if not function_has_loop(func):
         return 0
-    chains = Chains(func)
+    chains = chains_for(func)
     inserted = 0
     for block in func.blocks:
         rewritten: list[Instr] = []

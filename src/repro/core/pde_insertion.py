@@ -99,7 +99,8 @@ def run_pde_insertion(func: Function, traits: MachineTraits) -> int:
             rewritten.append(terminator)
         block.instrs = rewritten
 
-    func.invalidate_cfg()
+    if inserted or removed:
+        func.invalidate_cfg()
     return inserted - removed
 
 

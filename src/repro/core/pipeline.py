@@ -45,6 +45,7 @@ from ..opt import (
     propagate_copies,
     simplify,
 )
+from ..opt.pass_manager import charged
 from ..telemetry import Telemetry
 from .config import Algorithm, SignExtConfig
 from .convert64 import convert_function
@@ -129,6 +130,9 @@ def compile_ir(
                 stats[func.name] = _compile_function(
                     func, config, profile, timing, None
                 )
+            # Cached analyses are compile-time state: never ship them
+            # with the compiled program (it is cached and pickled).
+            func.invalidate_cfg()
 
     if telemetry is not None:
         telemetry.counter("compile.static_extends.after").inc(
@@ -195,13 +199,12 @@ def _compile_function(
     if config.algorithm is Algorithm.NONE:
         return FunctionStats(name=func.name)
     if config.algorithm is Algorithm.BWD_FLOW:
-        start = time.perf_counter()
-        if telemetry is not None:
-            with telemetry.span("first-algorithm"):
+        with charged(timing, BUCKET_SIGN_EXT, func):
+            if telemetry is not None:
+                with telemetry.span("first-algorithm"):
+                    removed = run_first_algorithm(func, config.traits)
+            else:
                 removed = run_first_algorithm(func, config.traits)
-        else:
-            removed = run_first_algorithm(func, config.traits)
-        timing.add(BUCKET_SIGN_EXT, time.perf_counter() - start)
         stats = FunctionStats(name=func.name, eliminated=removed)
         stats.eliminated_by_width[32] = removed
         return stats

@@ -13,7 +13,7 @@ class Block:
     The final instruction must be a terminator (``BR``/``JMP``/``RET``).
     Predecessor/successor lists are derived by :class:`repro.ir.function.
     Function` from terminator targets and cached; call
-    ``Function.invalidate_cfg()`` after structural edits.
+    ``Function.invalidate_cfg()`` after editing a block.
     """
 
     def __init__(self, label: str) -> None:

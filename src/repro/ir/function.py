@@ -27,6 +27,10 @@ class Function:
         self._temp_counter = 0
         self._label_counter = 0
         self._cfg_valid = False
+        # UD/DU chains memoized by repro.analysis.ud_du.chains_for until
+        # invalidate_cfg(), and the seconds spent building them.
+        self._chains = None
+        self.chains_seconds = 0.0
 
     # -- registers -----------------------------------------------------------
 
@@ -65,7 +69,7 @@ class Function:
             raise ValueError(f"duplicate block label: {block.label}")
         self.blocks.append(block)
         self._blocks_by_label[block.label] = block
-        self._cfg_valid = False
+        self.invalidate_cfg()
         return block
 
     def block(self, label: str) -> Block:
@@ -80,7 +84,17 @@ class Function:
     # -- CFG maintenance --------------------------------------------------------
 
     def invalidate_cfg(self) -> None:
+        """Forget every analysis cached on the function: the CFG edges
+        and the UD/DU chains.
+
+        Call after any edit to the IR, structural or in place.  An edit
+        that leaves the CFG alone may skip it when it keeps the cached
+        chains exact (splicing them the way
+        :class:`repro.analysis.ud_du.Chains` offers) or when no chains
+        are cached (phase 3 edits chains it took out of the cache).
+        """
         self._cfg_valid = False
+        self._chains = None
 
     def build_cfg(self) -> None:
         """(Re)compute predecessor/successor lists from terminators."""
@@ -111,7 +125,7 @@ class Function:
         if dead:
             self.blocks = [b for b in self.blocks if b.label in seen]
             self._blocks_by_label = {b.label: b for b in self.blocks}
-            self._cfg_valid = False
+            self.invalidate_cfg()
         return len(dead)
 
     # -- iteration -----------------------------------------------------------------

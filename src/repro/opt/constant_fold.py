@@ -9,13 +9,23 @@ The pass uses UD chains: an operand is constant when *every* reaching
 definition is a ``CONST`` with the same value.  Folding iterates to a
 (bounded) fixpoint because folding one instruction can make another's
 operand constant.
+
+A fold rewrites ``r = op(..)`` to ``r = const`` in place: same
+destination, same position, CFG untouched, so reaching definitions do
+not change and one set of chains serves every round; the folds are
+spliced into it at the end (:meth:`Chains.replace`), so the next pass
+finds them exact.  Rounds stay round-at-a-time: round k+1 sees the folds
+of rounds up to k (through a snapshot ``definition index -> folded
+CONST``) and re-tries only the DU users of the definitions folded in
+round k, in program order.
 """
 
 from __future__ import annotations
 
 import math
 
-from ..analysis.ud_du import Chains
+from ..analysis.ud_du import Chains, chains_for
+from ..ir.block import Block
 from ..ir.function import Function
 from ..ir.instruction import Instr
 from ..ir.opcodes import Cond, Opcode
@@ -26,32 +36,50 @@ _MAX_ROUNDS = 10
 
 def fold_constants(func: Function) -> bool:
     """Fold constant computations; returns True when anything changed."""
-    changed_any = False
+    chains = chains_for(func)
+    place: dict[int, tuple[int, Block, int]] = {}  # uid -> (rank, block, pos)
+    worklist: list[Instr] = []
+    for block in func.blocks:
+        for position, instr in enumerate(block.instrs):
+            place[instr.uid] = (len(worklist), block, position)
+            worklist.append(instr)
+
+    folded: dict[int, Instr] = {}  # definition index -> CONST replacing it
+    replaced: dict[int, tuple[Instr, Instr]] = {}  # uid -> (old, CONST)
     for _ in range(_MAX_ROUNDS):
-        chains = Chains(func)
-        changed = False
-        for block in func.blocks:
-            for position, instr in enumerate(list(block.instrs)):
-                folded = _try_fold(chains, instr)
-                if folded is not None:
-                    block.instrs[block.instrs.index(instr)] = folded
-                    changed = True
-        if changed:
-            changed_any = True
-            func.invalidate_cfg()
-        else:
+        seen = dict(folded)  # this round reads earlier rounds' folds only
+        round_folds: list[Instr] = []
+        for instr in worklist:
+            replacement = _try_fold(chains, seen, instr)
+            if replacement is not None:
+                _, block, position = place[instr.uid]
+                block.instrs[position] = replacement
+                folded[chains.definition_of(instr).index] = replacement
+                replaced[instr.uid] = (instr, replacement)
+                round_folds.append(instr)
+        if not round_folds:
             break
-    return changed_any
+        users = {
+            use.instr.uid: use.instr
+            for instr in round_folds for use in chains.uses_of(instr)
+            if use.instr.uid not in replaced
+        }
+        worklist = sorted(users.values(), key=lambda u: place[u.uid][0])
+    for old, replacement in replaced.values():
+        chains.replace(old, replacement)
+    return bool(replaced)
 
 
-def _const_operand(chains: Chains, instr: Instr, index: int):
+def _const_operand(chains: Chains, folded: dict[int, Instr], instr: Instr,
+                   index: int):
     """The unique constant (int or float) reaching an operand, or None."""
     defs = chains.defs_for(instr, index)
     if not defs:
         return None
     value = None
     for definition in defs:
-        src = definition.instr
+        # The instruction making the definition now (None for params).
+        src = folded.get(definition.index, definition.instr)
         if src is None or src.opcode is not Opcode.CONST:
             return None
         if value is None:
@@ -67,14 +95,15 @@ def _const_instr(instr: Instr, value: int | float,
                  comment="folded")
 
 
-def _try_fold(chains: Chains, instr: Instr) -> Instr | None:
+def _try_fold(chains: Chains, folded: dict[int, Instr],
+              instr: Instr) -> Instr | None:
     opcode = instr.opcode
     if instr.dest is None:
         return None
 
     operands = []
     for index in range(len(instr.srcs)):
-        operands.append(_const_operand(chains, instr, index))
+        operands.append(_const_operand(chains, folded, instr, index))
 
     if opcode in _INT32_FOLD and all(isinstance(v, int) for v in operands):
         try:

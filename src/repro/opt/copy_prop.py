@@ -6,11 +6,15 @@ the copy.  We establish that cheaply and safely by requiring ``s`` to
 have exactly one definition in the function (the common case for the
 expression temporaries the frontend emits); its value is then fixed for
 the whole execution after definition.
+
+The rewrites are spliced into the shared chains as they are made
+(:meth:`Chains.forward_copy`), so later rounds and the next pass reuse
+them; a rewrite the chains cannot follow exactly drops them instead.
 """
 
 from __future__ import annotations
 
-from ..analysis.ud_du import Chains
+from ..analysis.ud_du import chains_for
 from ..ir.function import Function
 from ..ir.opcodes import Opcode
 
@@ -20,7 +24,7 @@ _MAX_ROUNDS = 10
 def propagate_copies(func: Function) -> bool:
     changed_any = False
     for _ in range(_MAX_ROUNDS):
-        chains = Chains(func)
+        chains = chains_for(func)
         def_counts: dict[str, int] = {}
         for param in func.params:
             def_counts[param.name] = def_counts.get(param.name, 0) + 1
@@ -29,6 +33,7 @@ def propagate_copies(func: Function) -> bool:
                 def_counts[instr.dest.name] = def_counts.get(instr.dest.name, 0) + 1
 
         changed = False
+        exact = True
         for _, instr in func.instructions():
             for index, src in enumerate(instr.srcs):
                 defs = chains.defs_for(instr, index)
@@ -49,8 +54,11 @@ def propagate_copies(func: Function) -> bool:
                 srcs = list(instr.srcs)
                 srcs[index] = copied
                 instr.srcs = tuple(srcs)
+                exact = exact and chains.forward_copy(instr, index, definition)
                 changed = True
         if changed:
+            if not exact:
+                func.invalidate_cfg()
             changed_any = True
         else:
             break

@@ -75,9 +75,11 @@ def eliminate_common_subexpressions(func: Function) -> bool:
     if not redundant:
         return False
 
+    # Temporaries are numbered in universe (first-occurrence) order: the
+    # set's order follows ExprKey hashes, which vary between processes.
     temps = {
         key: func.new_reg(_result_type(key), "cse")
-        for key in redundant_keys
+        for key in universe if key in redundant_keys
     }
     redundant_uids = {instr.uid for _, instr in redundant}
 

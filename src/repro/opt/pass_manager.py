@@ -3,6 +3,13 @@
 The paper buckets JIT compilation time into "sign extension
 optimizations", "UD/DU chain creation", and "others"; passes here
 declare their bucket so the harness can reproduce that breakdown.
+Chain builds made through :func:`~repro.analysis.ud_du.chains_for` are
+charged to the chain bucket wherever they happen, and taken out of the
+bucket of the pass that asked for them (:func:`charged`).
+
+Passes share one set of UD/DU chains per function (cached on the
+function until ``Function.invalidate_cfg()``); each pass drops or splices
+them as it edits, so the manager itself never touches the cache.
 
 When a :class:`~repro.telemetry.tracer.Tracer` is attached, every pass
 execution additionally becomes one span in the pipeline trace.
@@ -10,8 +17,9 @@ execution additionally becomes one span in the pipeline trace.
 
 from __future__ import annotations
 
+import contextlib
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -79,6 +87,19 @@ class Timing:
         return out
 
 
+@contextlib.contextmanager
+def charged(timing: Timing, bucket: str, func: Function) -> Iterator[None]:
+    """Charge the body's wall time to ``bucket``, except the time spent
+    building ``func``'s chains, which goes to :data:`BUCKET_CHAINS`."""
+    chains_before = func.chains_seconds
+    start = time.perf_counter()
+    yield
+    built = func.chains_seconds - chains_before
+    timing.add(bucket, time.perf_counter() - start - built)
+    if built:
+        timing.add(BUCKET_CHAINS, built)
+
+
 class PassManager:
     """Runs a fixed pipeline over one function, recording timing."""
 
@@ -91,16 +112,15 @@ class PassManager:
     def run(self, func: Function) -> bool:
         changed = False
         for pass_ in self.passes:
-            start = time.perf_counter()
-            if self.tracer is not None:
-                with self.tracer.span(pass_.name, category="pass",
-                                      function=func.name) as span:
+            with charged(self.timing, pass_.bucket, func):
+                if self.tracer is not None:
+                    with self.tracer.span(pass_.name, category="pass",
+                                          function=func.name) as span:
+                        result = bool(pass_.run(func))
+                        span.annotate(changed=result)
+                else:
                     result = bool(pass_.run(func))
-                    span.annotate(changed=result)
-            else:
-                result = bool(pass_.run(func))
             changed |= result
-            self.timing.add(pass_.bucket, time.perf_counter() - start)
         return changed
 
     def run_to_fixpoint(self, func: Function, max_rounds: int = 4) -> None:

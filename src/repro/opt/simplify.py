@@ -3,11 +3,15 @@
 * ``x + 0``, ``x - 0``, ``x * 1``, ``x & -1``, ``x | 0``, ``x ^ 0``,
   ``x << 0`` → ``mov x``; ``x * 0``, ``x & 0`` → ``const 0``.
 * ``br`` on a constant condition → ``jmp``; unreachable blocks dropped.
+
+The identities keep the destination and read no new register, so they
+are spliced into the shared chains (:meth:`Chains.replace`); a folded
+branch changes the CFG and drops them.
 """
 
 from __future__ import annotations
 
-from ..analysis.ud_du import Chains
+from ..analysis.ud_du import Chains, chains_for
 from ..ir.function import Function
 from ..ir.instruction import Instr
 from ..ir.opcodes import Opcode
@@ -36,7 +40,6 @@ def simplify(func: Function) -> bool:
     changed = _algebraic(func)
     changed |= _fold_branches(func)
     if changed:
-        func.invalidate_cfg()
         func.drop_unreachable_blocks()
     return changed
 
@@ -63,8 +66,8 @@ def _norm(value: int, opcode: Opcode) -> int:
 
 
 def _algebraic(func: Function) -> bool:
-    chains = Chains(func)
-    changed = False
+    chains = chains_for(func)
+    rewrites: list[tuple[Instr, Instr]] = []
     for block in func.blocks:
         for position, instr in enumerate(block.instrs):
             opcode = instr.opcode
@@ -90,12 +93,15 @@ def _algebraic(func: Function) -> bool:
 
             if replacement is not None:
                 block.instrs[position] = replacement
-                changed = True
-    return changed
+                rewrites.append((instr, replacement))
+    # Spliced only now: every rewrite above read the chains as built.
+    for old, replacement in rewrites:
+        chains.replace(old, replacement)
+    return bool(rewrites)
 
 
 def _fold_branches(func: Function) -> bool:
-    chains = Chains(func)
+    chains = chains_for(func)
     changed = False
     for block in func.blocks:
         terminator = block.instrs[-1] if block.instrs else None

@@ -20,6 +20,11 @@ def test_bit_indices():
     assert bit_indices(1 << 100) == [100]
 
 
+def test_bit_indices_sparse_wide_vector():
+    """Two set bits 5000 apart: the cost follows the set bits only."""
+    assert bit_indices((1 << 5000) | 1) == [0, 5000]
+
+
 def _two_defs_program():
     """x defined in both arms of a diamond, used at the join."""
     program = Program()

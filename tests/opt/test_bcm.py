@@ -1,6 +1,7 @@
 """Tests for busy-code-motion PRE."""
 
 from repro.ir import Cond, Opcode, Program, ScalarType, build_function
+from repro.opt import fold_constants, propagate_copies
 from repro.opt.bcm import busy_code_motion
 from tests.conftest import run_ideal
 
@@ -162,3 +163,35 @@ class TestIdempotence:
         gold = run_ideal(program, args=(1, 2)).observable()
         busy_code_motion(program.main)
         assert run_ideal(program, args=(1, 2)).observable() == gold
+
+
+class TestAfterOtherPasses:
+    def test_chains_cached_by_earlier_passes_do_not_go_stale(self):
+        """Folding and copy propagation leave the function's UD/DU chains
+        cached; BCM's insertions, and the GCSE, copy propagation and DCE
+        it runs afterwards, must not read them as they were."""
+        program = Program()
+        b = build_function(program, "main",
+                           [("p", ScalarType.I32), ("x", ScalarType.I32)],
+                           ScalarType.I32)
+        p, x = b.func.params
+        left = b.block("left")
+        join = b.block("join")
+        cond = b.cmp(Opcode.CMP32, Cond.NE, p, b.const(0))
+        b.br(cond, left, join)
+        b.switch(left)
+        b.sink(b.binop(Opcode.MUL32, x, x))
+        b.jmp(join)
+        b.switch(join)
+        late = b.binop(Opcode.MUL32, x, x)  # partially redundant
+        b.sink(late)
+        b.ret(late)
+        golds = {args: run_ideal(program, args=args).observable()
+                 for args in ((1, 6), (0, 6))}
+        fold_constants(program.main)
+        propagate_copies(program.main)
+        assert busy_code_motion(program.main)
+        for args, gold in golds.items():
+            assert run_ideal(program, args=args).observable() == gold
+        run = run_ideal(program, args=(0, 6))
+        assert run.opcode_counts[Opcode.MUL32] == 1

@@ -72,6 +72,23 @@ class TestConstantFolding:
         assert _count(program.main, Opcode.ADD32) == 0
         assert run_ideal(program).ret_value == 43
 
+    def test_one_dependency_level_per_round_up_to_the_cap(self):
+        """A round sees only earlier rounds' folds, and a call makes at
+        most ten rounds: of a twelve-deep dependency chain, the first ten
+        links fold and the last two wait for the next call."""
+        program = Program()
+        b = build_function(program, "main", [], ScalarType.I32)
+        value = b.const(1)
+        for _ in range(12):
+            value = b.binop(Opcode.ADD32, value, value)
+        b.ret(value)
+        assert fold_constants(program.main)
+        assert _count(program.main, Opcode.ADD32) == 2
+        assert fold_constants(program.main)
+        assert _count(program.main, Opcode.ADD32) == 0
+        assert not fold_constants(program.main)
+        assert run_ideal(program).ret_value == 1 << 12
+
     def test_folds_cmp(self):
         program = Program()
         b = build_function(program, "main", [], ScalarType.I32)

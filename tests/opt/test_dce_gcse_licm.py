@@ -1,5 +1,10 @@
 """Tests for DCE, global CSE, and loop-invariant code motion."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.ir import (
     Cond,
     Instr,
@@ -134,6 +139,36 @@ class TestGCSE:
         gold = run_ideal(program, args=(1, 6)).observable()
         eliminate_common_subexpressions(program.main)
         assert run_ideal(program, args=(1, 6)).observable() == gold
+
+    def test_temporary_names_do_not_depend_on_the_process(self):
+        """Two processes with different hash seeds print the same IR.
+
+        ``ExprKey`` hashes differ between processes (string hashing,
+        and ``hash(None)`` follows the address of ``None``), so temps
+        numbered in set order came out as different ``%cseN`` names.
+        ``db`` creates several temporaries per function.
+        """
+        script = (
+            "from repro.core import compile_ir\n"
+            "from repro.core.config import VARIANTS\n"
+            "from repro.ir.printer import format_program\n"
+            "from repro.workloads.registry import get_workload\n"
+            "for name in ('fp_emu', 'db'):\n"
+            "    source = get_workload(name).program()\n"
+            "    for variant in ('gen use', 'new algorithm (all)'):\n"
+            "        result = compile_ir(source, VARIANTS[variant])\n"
+            "        print(format_program(result.program))\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=str(src),
+                       PYTHONHASHSEED=hash_seed)
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            outputs.append(done.stdout)
+        assert "%cse" in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestLICM:
